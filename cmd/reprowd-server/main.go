@@ -345,7 +345,7 @@ func main() {
 	}
 	logger.Info("reprowd platform listening", "addr", *addr,
 		"virtual_time", *virtualTime, "state", persisted)
-	logger.Info("routes: PUT /api/projects | POST /api/projects/{id}/tasks | POST /api/projects/{id}/newtask?worker=W | POST /api/tasks/{id}/runs | GET /api/projects/{id}/stats | GET /api/projects/{id}/queue | GET /api/healthz | GET /metrics")
+	logger.Info("routes: PUT /api/projects | POST /api/projects/{id}/tasks | POST /api/projects/{id}/newtask?worker=W | POST /api/tasks/{id}/runs | GET /api/projects/{id}/runs?after=C&wait=D | GET /api/projects/{id}/stats | GET /api/projects/{id}/queue | GET /api/healthz | GET /metrics")
 	if node != nil {
 		logger.Info("replication: GET /api/repl/stream | GET /api/repl/snapshot | GET /api/repl/status (start a replica with -follow)")
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -25,6 +26,11 @@ type CrowdData struct {
 	presenter *Presenter
 	rows      []*Row
 	index     map[string]int // row key → index in rows
+
+	// Collect's place in each project's run feed, kept between calls so
+	// a Collect reads only the runs that arrived since the last one.
+	feeds   map[string]*platform.RunFeed // project name → feed
+	pending map[int64][]platform.TaskRun // incomplete row's task id → its runs so far
 }
 
 // Name returns the table name.
@@ -347,29 +353,51 @@ type CollectReport struct {
 // Collect fetches crowd answers into the result column (step 4). Rows whose
 // result column is already complete are served from the database and never
 // touch the platform — this is the rerun path. Incomplete rows are
-// refreshed; they become complete once the platform reports redundancy
-// answers. It is the caller's business to ensure workers are answering
-// (in simulations, drain a crowd.Pool between Publish and Collect).
+// refreshed from their project's run feed: the first Collect reads it from
+// the beginning, later ones only the runs that arrived since (one
+// RunsAfter per page per project, not one call per row); they become
+// complete once the platform reports redundancy answers. It is the
+// caller's business to ensure workers are answering (in simulations, drain
+// a crowd.Pool between Publish and Collect).
 func (cd *CrowdData) Collect() (CollectReport, error) {
 	var report CollectReport
 	var anyTask bool
-	batch := storage.NewBatch()
+	var stale []string       // projects backing incomplete rows
+	open := map[int64]bool{} // their task ids
 	for _, row := range cd.rows {
 		if row.Task == nil {
 			continue
 		}
 		anyTask = true
+		if row.Result == nil || !row.Result.Complete {
+			if name := cd.taskProject(row.Task); !slices.Contains(stale, name) {
+				stale = append(stale, name)
+			}
+			open[row.Task.PlatformTaskID] = true
+		}
+	}
+	if !anyTask {
+		return report, ErrNotPublished
+	}
+	for _, name := range stale {
+		if err := cd.fetchRuns(name, open); err != nil {
+			return report, err
+		}
+	}
+
+	batch := storage.NewBatch()
+	for _, row := range cd.rows {
+		if row.Task == nil {
+			continue
+		}
 		report.Published++
 		if row.Result != nil && row.Result.Complete {
 			report.Complete++
 			continue
 		}
-		runs, err := cd.ctx.client.Runs(row.Task.PlatformTaskID)
-		if err != nil {
-			return report, fmt.Errorf("core: fetch runs for row %s: %w", row.Key, err)
-		}
-		answers := make([]Answer, 0, len(runs))
-		for _, r := range runs {
+		taskRuns := cd.pending[row.Task.PlatformTaskID]
+		answers := make([]Answer, 0, len(taskRuns))
+		for _, r := range taskRuns {
 			answers = append(answers, Answer{
 				Worker:      r.WorkerID,
 				Value:       r.Answer,
@@ -398,10 +426,8 @@ func (cd *CrowdData) Collect() (CollectReport, error) {
 		}
 		if res.Complete {
 			report.Complete++
+			delete(cd.pending, row.Task.PlatformTaskID)
 		}
-	}
-	if !anyTask {
-		return report, ErrNotPublished
 	}
 	if batch.Len() > 0 {
 		if err := cd.ctx.db.Apply(batch); err != nil {
@@ -418,6 +444,46 @@ func (cd *CrowdData) Collect() (CollectReport, error) {
 		}
 	}
 	return report, nil
+}
+
+// taskProject names the platform project a row's task lives in.
+func (cd *CrowdData) taskProject(t *TaskInfo) string {
+	if t.ProjectName != "" {
+		return t.ProjectName
+	}
+	return cd.ProjectName()
+}
+
+// fetchRuns reads the runs that arrived on a project's feed since the
+// last Collect, keeping those of the open tasks in cd.pending (in Runs
+// order). A feed that restarts from the beginning (a leader failover)
+// re-sends runs; the RunFeed passes each on once.
+func (cd *CrowdData) fetchRuns(projectName string, open map[int64]bool) error {
+	feed := cd.feeds[projectName]
+	if feed == nil {
+		p, ok, err := cd.ctx.client.FindProject(projectName)
+		if err != nil {
+			return fmt.Errorf("core: find project %s: %w", projectName, err)
+		}
+		if !ok {
+			return fmt.Errorf("core: project %s: %w", projectName, platform.ErrUnknownProject)
+		}
+		if cd.feeds == nil {
+			cd.feeds = map[string]*platform.RunFeed{}
+			cd.pending = map[int64][]platform.TaskRun{}
+		}
+		feed = platform.NewRunFeed(p.ID)
+		cd.feeds[projectName] = feed
+	}
+	err := feed.Drain(cd.ctx.client, func(r platform.TaskRun) {
+		if open[r.TaskID] {
+			cd.pending[r.TaskID] = append(cd.pending[r.TaskID], r)
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("core: fetch runs for project %s: %w", projectName, err)
+	}
+	return nil
 }
 
 // CollectUntilComplete polls Collect until every published row reaches its
@@ -508,6 +574,7 @@ func (cd *CrowdData) Clear() error {
 		row.Result = nil
 		row.Derived = nil
 	}
+	cd.feeds, cd.pending = nil, nil
 	return nil
 }
 

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/crowd"
 	"repro/internal/platform"
+	"repro/internal/storage"
 )
 
 // countingClient wraps a platform client and records AddTasks call sizes.
@@ -143,5 +146,191 @@ func TestPublishBatchedPartialFailureIsRerunnable(t *testing.T) {
 			t.Fatalf("task %d bound to two rows", row.Task.PlatformTaskID)
 		}
 		seen[row.Task.PlatformTaskID] = true
+	}
+}
+
+// feedCountingClient counts the calls Collect makes to read answers.
+type feedCountingClient struct {
+	platform.Client
+	mu              sync.Mutex
+	runs, runsAfter int
+}
+
+func (c *feedCountingClient) Runs(taskID int64) ([]platform.TaskRun, error) {
+	c.mu.Lock()
+	c.runs++
+	c.mu.Unlock()
+	return c.Client.Runs(taskID)
+}
+
+func (c *feedCountingClient) RunsAfter(projectID int64, cursor string, wait time.Duration) (platform.RunPage, error) {
+	c.mu.Lock()
+	c.runsAfter++
+	c.mu.Unlock()
+	return c.Client.RunsAfter(projectID, cursor, wait)
+}
+
+// TestCollectReadsFeedPages: Collect reads a project's answers from the
+// run feed in pages — no per-row Runs calls — and fills each row with
+// exactly its task's Runs; a rerun over complete rows reads nothing.
+func TestCollectReadsFeedPages(t *testing.T) {
+	e := newEnv(t, 1, crowd.Perfect{})
+	client := &feedCountingClient{Client: e.engine}
+	cc, err := NewContext(Options{
+		DBDir:   e.dbDir,
+		Client:  client,
+		Clock:   e.clock,
+		Storage: storage.Options{Sync: storage.SyncNever},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	n := platform.RunPageLimit + 30
+	objs := make([]Object, n)
+	for i := range objs {
+		objs[i] = Object{"url": fmt.Sprintf("http://img/%d.jpg", i), "truth": "Yes"}
+	}
+	cd, err := cc.CrowdData(objs, "paged")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd.SetPresenter(ImageLabel("Dog?"))
+	if _, err := cd.Publish(PublishOptions{Redundancy: 1}); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, e, cd)
+
+	rep, err := cd.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Complete != n || rep.NewAnswers != n {
+		t.Fatalf("collect = %+v, want %d complete rows and answers", rep, n)
+	}
+	if client.runs != 0 || client.runsAfter != 2 {
+		t.Fatalf("collect made %d Runs and %d RunsAfter calls, want 0 and 2 (two feed pages)", client.runs, client.runsAfter)
+	}
+	for _, row := range cd.Rows() {
+		runs, err := e.engine.Runs(row.Task.PlatformTaskID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(runs) != len(row.Result.Answers) {
+			t.Fatalf("row %s: %d answers, task has %d runs", row.Key, len(row.Result.Answers), len(runs))
+		}
+		for i, r := range runs {
+			a := row.Result.Answers[i]
+			if a.RunID != r.ID || a.Worker != r.WorkerID || a.Value != r.Answer ||
+				!a.AssignedAt.Equal(r.Assigned) || !a.SubmittedAt.Equal(r.Finished) {
+				t.Fatalf("row %s answer %d = %+v, run %+v", row.Key, i, a, r)
+			}
+		}
+	}
+
+	client.runsAfter = 0
+	if _, err := cd.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if client.runs != 0 || client.runsAfter != 0 {
+		t.Fatalf("rerun collect over complete rows made %d Runs and %d RunsAfter calls, want none", client.runs, client.runsAfter)
+	}
+}
+
+// feedReadingClient counts the runs Collect reads off the feed and can
+// make the feed forget one cursor, as a leader failover does.
+type feedReadingClient struct {
+	platform.Client
+	finds, delivered int
+	forget           bool
+}
+
+func (c *feedReadingClient) FindProject(name string) (platform.Project, bool, error) {
+	c.finds++
+	return c.Client.FindProject(name)
+}
+
+func (c *feedReadingClient) RunsAfter(projectID int64, cursor string, wait time.Duration) (platform.RunPage, error) {
+	if c.forget {
+		cursor, c.forget = "", false
+	}
+	page, err := c.Client.RunsAfter(projectID, cursor, wait)
+	c.delivered += len(page.Runs)
+	return page, err
+}
+
+// TestCollectReadsOnlyNewRuns: each Collect reads only the runs that
+// arrived since the previous one, so collecting a growing table costs the
+// answers that came in, not the whole project again; a feed that restarts
+// from the beginning is deduped, and every row still equals its Runs.
+func TestCollectReadsOnlyNewRuns(t *testing.T) {
+	e := newEnv(t, 1, crowd.Perfect{})
+	client := &feedReadingClient{Client: e.engine}
+	cc, err := NewContext(Options{
+		DBDir:   e.dbDir,
+		Client:  client,
+		Clock:   e.clock,
+		Storage: storage.Options{Sync: storage.SyncNever},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	const n = 10
+	objs := make([]Object, n)
+	for i := range objs {
+		objs[i] = Object{"url": fmt.Sprintf("http://img/%d.jpg", i)}
+	}
+	cd, err := cc.CrowdData(objs, "incremental")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd.SetPresenter(ImageLabel("Dog?"))
+	if _, err := cd.Publish(PublishOptions{Redundancy: 2}); err != nil {
+		t.Fatal(err)
+	}
+	answer := func(worker string, rows []*Row) {
+		t.Helper()
+		for _, row := range rows {
+			if _, err := e.engine.Submit(row.Task.PlatformTaskID, worker, "Yes"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	collect := func(wantDelivered, wantComplete int) {
+		t.Helper()
+		client.delivered = 0
+		rep, err := cd.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if client.delivered != wantDelivered || rep.Complete != wantComplete {
+			t.Fatalf("collect read %d runs and left %d rows complete, want %d and %d", client.delivered, rep.Complete, wantDelivered, wantComplete)
+		}
+	}
+	rows := cd.Rows()
+	answer("w1", rows)
+	collect(n, 0)
+	answer("w2", rows[:n/2])
+	collect(n/2, n/2)
+	answer("w2", rows[n/2:])
+	client.forget = true
+	collect(2*n, n) // the restarted feed re-sends every run
+	if client.finds != 1 {
+		t.Fatalf("Collect looked the project up %d times, want once", client.finds)
+	}
+	for _, row := range rows {
+		runs, err := e.engine.Runs(row.Task.PlatformTaskID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(runs) != len(row.Result.Answers) {
+			t.Fatalf("row %s: %d answers, task has %d runs", row.Key, len(row.Result.Answers), len(runs))
+		}
+		for i, r := range runs {
+			if a := row.Result.Answers[i]; a.RunID != r.ID || a.Worker != r.WorkerID {
+				t.Fatalf("row %s answer %d = %+v, run %+v", row.Key, i, a, r)
+			}
+		}
 	}
 }

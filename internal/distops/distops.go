@@ -11,10 +11,12 @@
 //  2. Task creation fans out through the gateway client's batched
 //     AddTasks path with bounded concurrency (core.PublishOptions
 //     BatchSize/Concurrency).
-//  3. A streaming collector (collector.go) polls each shard's tasks and
-//     emits every new answer as a Verdict the moment it lands, feeding
-//     incremental quality inference (quality.OnlineDawidSkene) instead
-//     of batching aggregation at drain.
+//  3. A streaming collector (collector.go) follows each shard project's
+//     run feed (platform.Client.RunsAfter: one cursor per shard, a long
+//     poll when nothing is new, O(new runs) per round) and emits every
+//     new answer as a Verdict the moment it lands, feeding incremental
+//     quality inference (quality.OnlineDawidSkene) instead of batching
+//     aggregation at drain.
 //  4. Cross-node lineage: a persisted manifest records which partition
 //     served each shard, so Lineage can reconstruct a run that spanned
 //     the cluster (lineage.MergeShards).
@@ -59,8 +61,11 @@ type Config struct {
 	// Concurrency bounds in-flight AddTasks batches per shard; zero
 	// means 4.
 	Concurrency int
-	// PollInterval is the collector's pause between polling rounds;
-	// zero means 2ms.
+	// PollInterval is the collector's pause between feed rounds,
+	// letting the next request carry a batch; zero means 2ms. A round
+	// that finds nothing new long-polls the feed (up to a fixed wait)
+	// first, and a round that leaves a full page waiting skips the
+	// pause.
 	PollInterval time.Duration
 	// Clock paces the collector; nil uses the context clock.
 	Clock vclock.Clock
@@ -325,11 +330,11 @@ func runShard(cc *core.CrowdContext, cfg Config, clock vclock.Clock, sh shardPla
 		if row.Task == nil {
 			return fail(fmt.Errorf("row %s unpublished", row.Key))
 		}
-		info[row.Task.PlatformTaskID] = taskIdent{item: itemOf(row.Object, row.Key), rowKey: row.Key}
+		info[row.Task.PlatformTaskID] = taskIdent{item: itemOf(row.Object, row.Key), rowKey: row.Key, redundancy: row.Task.Redundancy}
 		out.stats.Tasks++
 	}
 
-	coll := &collector{
+	coll := newCollector(collector{
 		client:    cc.Client(),
 		projectID: pid,
 		partition: sh.partition,
@@ -338,8 +343,7 @@ func runShard(cc *core.CrowdContext, cfg Config, clock vclock.Clock, sh shardPla
 		clock:     clock,
 		info:      info,
 		emit:      emit,
-		streamed:  map[int64]int{},
-	}
+	})
 	stop := make(chan struct{})
 	collDone := make(chan error, 1)
 	go func() { collDone <- coll.run(stop) }()

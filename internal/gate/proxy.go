@@ -46,6 +46,8 @@ func routeName(c reqClass) string {
 		return "find"
 	case classNodeStats:
 		return "node_stats"
+	case classFeed:
+		return "feed"
 	}
 	return "unknown"
 }
@@ -117,6 +119,8 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		g.handleFind(w, r, pl)
 	case classNodeStats:
 		g.handleNodeStats(w, r)
+	case classFeed:
+		g.handleFeed(w, r, pl)
 	default:
 		writeGateErr(w, http.StatusNotFound, "unknown_route",
 			"gate: no such route (replication endpoints are served by the nodes directly)")
@@ -650,7 +654,7 @@ func (g *Gateway) finish(pl plan, served target, isWrite bool) {
 	// leader read).
 	if isWrite {
 		g.stats.WritesRouted.Add(1)
-	} else {
+	} else if pl.class != classFeed {
 		follower := false
 		if served.node != nil {
 			g.mu.RLock()
@@ -698,6 +702,17 @@ func (g *Gateway) noteWrite(served target) {
 		return
 	}
 	g.cache.bumpEpoch(served.partition)
+}
+
+// handleFeed relays a run feed read (a long poll) to the partition's
+// leader. The feed is a cursor protocol, so it bypasses the read cache
+// entirely, and it is pinned to the leader rather than spread across
+// followers: a cursor names a position in one node's log, so rotating
+// nodes would restart the feed from the beginning on every hop, and a
+// lagging replica would hold back runs the leader already acknowledged.
+// It is booked as neither a follower read nor a leader fallback.
+func (g *Gateway) handleFeed(w http.ResponseWriter, r *http.Request, pl plan) {
+	g.run(w, r, pl, g.writeTargets(pl), false)
 }
 
 func (g *Gateway) handleRead(w http.ResponseWriter, r *http.Request, pl plan) {

@@ -20,6 +20,7 @@ const (
 	classListProjects          // GET /api/projects: merge across partitions
 	classFind                  // GET /api/projects/find: first partition that knows the name
 	classNodeStats             // GET /api/stats: per-node stats, keyed by node name
+	classFeed                  // GET /api/projects/{id}/runs: run feed → owning leader, never cached
 )
 
 // plan is one classified request.
@@ -76,6 +77,10 @@ func classify(r *http.Request) plan {
 			case "stats", "queue":
 				if get {
 					pl.class = classRead
+				}
+			case "runs":
+				if get {
+					pl.class = classFeed
 				}
 			}
 		}
@@ -144,7 +149,8 @@ func (g *Gateway) ownerChainLocked(pl plan) []string {
 	return names
 }
 
-// writeTargets plans a partition write: the owner chain, each partition
+// writeTargets plans a partition write (and a run feed read, which must
+// see the leader's log): the owner chain, each partition
 // resolved to the node currently leading it, with leaders the prober
 // last saw unhealthy moved behind healthy ones (they stay in the list —
 // a probe can be stale) so an owner outage fails over to the next ring

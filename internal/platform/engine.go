@@ -104,6 +104,12 @@ type Engine struct {
 	tasks  map[int64]*Task
 	banned map[int64]map[string]bool // project id → banned workers
 
+	// feeds are the per-project run logs behind RunsAfter (see feed.go).
+	// The map changes under e.mu exclusively; each log has its own lock.
+	// incarnation names this engine instance's logs inside feed cursors.
+	feeds       map[int64]*runLog
+	incarnation string
+
 	// stripes shard the task-scoped hot state (runs, in-flight
 	// submissions, per-stripe finalize queues) the way internal/sched
 	// stripes projects, so submissions against different tasks never
@@ -183,6 +189,10 @@ type engineMetrics struct {
 	flushWait *obs.Histogram // phase 2: durability wait outside e.mu
 	finalize  *obs.Histogram // phase 3: commit memory + scheduler
 	tick      atomic.Uint64  // Submit sampling counter (see sampleSubmit)
+
+	feedRequests *obs.Counter // RunsAfter calls
+	feedRuns     *obs.Counter // runs delivered by RunsAfter
+	feedWaiting  *obs.Gauge   // RunsAfter calls parked in a long poll
 }
 
 // sampleSubmit decides, once per Submit call, whether this call's phase
@@ -213,6 +223,12 @@ func (m *engineMetrics) init(reg *obs.Registry, e *Engine) {
 		"Submit phase 2: wait for the journal group commit, registry unlocked; sampled with reprowd_engine_submit_seconds.", nil)
 	m.finalize = reg.Histogram("reprowd_engine_finalize_seconds",
 		"Submit phase 3: commit the acked prefix to memory and scheduler; sampled with reprowd_engine_submit_seconds.", nil)
+	m.feedRequests = reg.Counter("reprowd_engine_feed_requests_total",
+		"Run feed reads (RunsAfter, GET /api/projects/{id}/runs).")
+	m.feedRuns = reg.Counter("reprowd_engine_feed_runs_total",
+		"Runs delivered by run feed reads.")
+	m.feedWaiting = reg.Gauge("reprowd_engine_feed_waiting",
+		"Run feed reads parked in a long poll, waiting for the next run.")
 	reg.GaugeFunc("reprowd_engine_projects",
 		"Projects registered on this engine.", func() float64 {
 			e.mu.RLock()
@@ -304,6 +320,8 @@ func NewEngineOpts(opts EngineOptions) (*Engine, error) {
 		externalIDs:    make(map[int64]map[string]int64),
 		tasks:          make(map[int64]*Task),
 		banned:         make(map[int64]map[string]bool),
+		feeds:          make(map[int64]*runLog),
+		incarnation:    newIncarnation(),
 		projStages:     make(map[string]*projectStage),
 		extStages:      make(map[int64]map[string]*stage),
 	}
@@ -515,6 +533,7 @@ func (e *Engine) insertProject(p *Project) {
 	e.projects[p.ID] = p
 	e.projectsByName[p.Name] = p.ID
 	e.externalIDs[p.ID] = make(map[string]int64)
+	e.feeds[p.ID] = &runLog{}
 	if p.ID > e.nextProjectID {
 		e.nextProjectID = p.ID
 	}
@@ -998,6 +1017,7 @@ func (e *Engine) commitSubmit(run *TaskRun, t *Task, retiring bool) error {
 func (e *Engine) applyRun(run *TaskRun, t *Task, retired bool) {
 	s := e.stripe(run.TaskID)
 	s.runs[run.TaskID] = append(s.runs[run.TaskID], run)
+	e.feeds[t.ProjectID].append(run)
 	for {
 		cur := e.nextRunID.Load()
 		if run.ID <= cur || e.nextRunID.CompareAndSwap(cur, run.ID) {

@@ -337,6 +337,19 @@ func (c *HTTPClient) Runs(taskID int64) ([]TaskRun, error) {
 	return runs, err
 }
 
+// RunsAfter implements Client. The request stays open for up to wait
+// (the server caps it at 10s) when nothing new is visible, so wait must
+// stay below the client's request timeout.
+func (c *HTTPClient) RunsAfter(projectID int64, cursor string, wait time.Duration) (RunPage, error) {
+	var page RunPage
+	path := fmt.Sprintf("/api/projects/%d/runs?after=%s", projectID, url.QueryEscape(cursor))
+	if wait > 0 {
+		path += "&wait=" + url.QueryEscape(wait.String())
+	}
+	_, err := c.do(http.MethodGet, path, nil, &page, projScope(projectID))
+	return page, err
+}
+
 // Stats implements Client.
 func (c *HTTPClient) Stats(projectID int64) (ProjectStats, error) {
 	var st ProjectStats

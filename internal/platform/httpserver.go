@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // HeaderShardKey is the routing-hint header pair the platform speaks with
@@ -48,6 +49,7 @@ func ShardKey(id int64) uint64 {
 //	POST /api/projects/{id}/tasks     → AddTasks (bulk)
 //	GET  /api/projects/{id}/tasks     → Tasks
 //	POST /api/projects/{id}/newtask   → RequestTask   (?worker=W)
+//	GET  /api/projects/{id}/runs      → RunsAfter     (?after=CURSOR&wait=DURATION; long poll)
 //	GET  /api/projects/{id}/stats     → Stats
 //	GET  /api/projects/{id}/queue     → QueueStats (scheduler queue depth/leases)
 //	GET  /api/stats                   → PlatformStats (journal + storage counters)
@@ -72,6 +74,7 @@ func NewServer(engine *Engine) *Server {
 	s.mux.HandleFunc("POST /api/projects/{id}/tasks", s.handleAddTasks)
 	s.mux.HandleFunc("GET /api/projects/{id}/tasks", s.handleTasks)
 	s.mux.HandleFunc("POST /api/projects/{id}/newtask", s.handleNewTask)
+	s.mux.HandleFunc("GET /api/projects/{id}/runs", s.handleRunsAfter)
 	s.mux.HandleFunc("GET /api/projects/{id}/stats", s.handleStats)
 	s.mux.HandleFunc("GET /api/projects/{id}/queue", s.handleQueueStats)
 	s.mux.HandleFunc("GET /api/stats", s.handlePlatformStats)
@@ -322,6 +325,32 @@ func (s *Server) handleNewTask(w http.ResponseWriter, r *http.Request) {
 	}
 	s.echoShard(w, id)
 	writeJSON(w, task)
+}
+
+// handleRunsAfter serves the project's run feed. wait (a Go duration,
+// capped at maxFeedWait) makes an empty read long-poll; a client that
+// hangs up releases the wait.
+func (s *Server) handleRunsAfter(w http.ResponseWriter, r *http.Request) {
+	id, err := pathID(r)
+	if err != nil {
+		s.writeErr(w, r, err)
+		return
+	}
+	q := r.URL.Query()
+	var wait time.Duration
+	if v := q.Get("wait"); v != "" {
+		if wait, err = time.ParseDuration(v); err != nil {
+			s.writeErr(w, r, ErrBadRequest)
+			return
+		}
+	}
+	page, err := s.engine.runsAfter(id, q.Get("after"), min(wait, maxFeedWait), r.Context().Done())
+	if err != nil {
+		s.writeErr(w, r, err)
+		return
+	}
+	s.echoShard(w, id)
+	writeJSON(w, page)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -160,6 +160,14 @@ type Client interface {
 	Tasks(projectID int64) ([]Task, error)
 	// Runs lists all answers for a task, ordered by id.
 	Runs(taskID int64) ([]TaskRun, error)
+	// RunsAfter is the project's run feed: the runs that became visible
+	// after cursor ("" = from the beginning), one bounded page at a time,
+	// with the cursor that continues after them. When nothing is new it
+	// long-polls up to wait. Per task, runs arrive in Runs order. A cursor
+	// the serving node does not recognise (failover, restart, replica
+	// reset) restarts the feed from the beginning, so consumers dedupe by
+	// run id.
+	RunsAfter(projectID int64, cursor string, wait time.Duration) (RunPage, error)
 	// Stats summarizes a project.
 	Stats(projectID int64) (ProjectStats, error)
 	// BanWorker blocks a worker from requesting or answering tasks in a

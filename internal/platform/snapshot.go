@@ -371,6 +371,7 @@ func (e *Engine) ResetReplicaState(data []byte) (uint64, error) {
 	e.externalIDs = make(map[int64]map[string]int64)
 	e.tasks = make(map[int64]*Task)
 	e.banned = make(map[int64]map[string]bool)
+	e.resetFeeds()
 	for i := range e.stripes {
 		s := &e.stripes[i]
 		s.runs = make(map[int64][]*TaskRun)
@@ -422,6 +423,7 @@ func (e *Engine) restoreSnapshotLocked(st *snapshotState) error {
 		e.observeReplayTime(run.Finished)
 		sp := e.stripe(run.TaskID)
 		sp.runs[run.TaskID] = append(sp.runs[run.TaskID], &run)
+		e.feeds[t.ProjectID].append(&run)
 		if t.State == TaskOngoing {
 			if _, err := e.sched.Complete(t.ProjectID, run.TaskID, run.WorkerID,
 				func() time.Time { return run.Finished }); err != nil {

@@ -730,6 +730,71 @@ func (c *Cluster) CheckReplicasIdentical() error {
 	return nil
 }
 
+// CheckFeedMatchesRuns asserts the run feed invariant on every live
+// replica (unfenced leaders and followers): reading a project's whole
+// feed from the empty cursor yields exactly the runs Runs lists for its
+// tasks — no run missing, none twice, none from another project — in the
+// same per-task order.
+func (c *Cluster) CheckFeedMatchesRuns() error {
+	c.refreshRoles()
+	for _, n := range c.Nodes() {
+		if !n.Alive || (n.IsLeader && n.Fenced) {
+			continue
+		}
+		if err := checkFeed(n.engine); err != nil {
+			return fmt.Errorf("sim: node %s: %w", n.Name, err)
+		}
+	}
+	return nil
+}
+
+// checkFeed compares one engine's feed against its per-task Runs.
+func checkFeed(e *platform.Engine) error {
+	for _, p := range e.Projects() {
+		feed := map[int64][]platform.TaskRun{}
+		seen := map[int64]bool{}
+		var twice []int64
+		_, err := platform.ReadFeed(e, p.ID, "", func(r platform.TaskRun) {
+			if seen[r.ID] {
+				twice = append(twice, r.ID)
+			}
+			seen[r.ID] = true
+			feed[r.TaskID] = append(feed[r.TaskID], r)
+		})
+		if err != nil {
+			return fmt.Errorf("feed of project %d: %w", p.ID, err)
+		}
+		if len(twice) > 0 {
+			return fmt.Errorf("feed of project %d delivers runs %v twice", p.ID, twice)
+		}
+		tasks, err := e.Tasks(p.ID)
+		if err != nil {
+			return fmt.Errorf("tasks of project %d: %w", p.ID, err)
+		}
+		total := 0
+		for _, t := range tasks {
+			runs, err := e.Runs(t.ID)
+			if err != nil {
+				return fmt.Errorf("runs of task %d: %w", t.ID, err)
+			}
+			got := feed[t.ID]
+			if len(got) != len(runs) {
+				return fmt.Errorf("project %d task %d: feed has %d runs, Runs has %d", p.ID, t.ID, len(got), len(runs))
+			}
+			for i := range runs {
+				if got[i] != runs[i] {
+					return fmt.Errorf("project %d task %d: feed run %d is %+v, Runs has %+v", p.ID, t.ID, i, got[i], runs[i])
+				}
+			}
+			total += len(runs)
+		}
+		if len(seen) != total {
+			return fmt.Errorf("project %d: feed has %d runs, its tasks hold %d", p.ID, len(seen), total)
+		}
+	}
+	return nil
+}
+
 // CheckSingleLeader asserts that each ring partition has exactly one
 // live unfenced leader — fenced ex-leaders may linger (they accept
 // nothing), but two writable leaders in one partition is split brain.

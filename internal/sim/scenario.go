@@ -411,6 +411,9 @@ func (r *runner) finish() error {
 	if err := r.c.CheckReplicasIdentical(); err != nil {
 		return err
 	}
+	if err := r.c.CheckFeedMatchesRuns(); err != nil {
+		return err
+	}
 	if err := r.checkAcked(); err != nil {
 		return err
 	}

@@ -34,6 +34,9 @@ func checkInvariants(t *testing.T, c *Cluster) {
 	if err := c.CheckReplicasIdentical(); err != nil {
 		t.Fatal(err)
 	}
+	if err := c.CheckFeedMatchesRuns(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // seedTasks writes n redundancy-1 tasks into project name on engine e,

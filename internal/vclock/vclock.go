@@ -132,3 +132,15 @@ func (w *Wall) Sleep(d time.Duration) { time.Sleep(d) }
 
 // After is time.After.
 func (w *Wall) After(d time.Duration) <-chan time.Time { return time.After(d) }
+
+// Timeout returns a channel that fires once d has passed, without moving
+// c: a bound on a wait for something other than the clock (a long poll
+// that ends early on a wakeup). On Sim and Wall it is c.After(d). A
+// Virtual clock cannot block and its After moves it forward, so a wait
+// on it is bounded in wall time instead and leaves the clock untouched.
+func Timeout(c Clock, d time.Duration) <-chan time.Time {
+	if _, ok := c.(*Virtual); ok {
+		return time.After(d)
+	}
+	return c.After(d)
+}

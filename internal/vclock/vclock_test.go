@@ -104,3 +104,33 @@ func TestWallStrictlyIncreasing(t *testing.T) {
 		prev = cur
 	}
 }
+
+// TestTimeoutLeavesClocksAlone: a Timeout on a Virtual clock fires in
+// wall time without moving the clock, and on a Sim clock it waits for the
+// controller like After.
+func TestTimeoutLeavesClocksAlone(t *testing.T) {
+	v := NewVirtual()
+	before := v.Peek()
+	select {
+	case <-Timeout(v, 10*time.Millisecond):
+	case <-time.After(5 * time.Second):
+		t.Fatal("Timeout on a Virtual clock never fired")
+	}
+	if got := v.Peek(); !got.Equal(before) {
+		t.Fatalf("Timeout moved the Virtual clock from %v to %v", before, got)
+	}
+
+	s := NewSim()
+	ch := Timeout(s, time.Second)
+	select {
+	case <-ch:
+		t.Fatal("Timeout on a Sim clock fired before the controller advanced")
+	case <-time.After(20 * time.Millisecond):
+	}
+	s.Advance(time.Second)
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Timeout on a Sim clock did not fire after Advance")
+	}
+}
