@@ -317,8 +317,9 @@ func main() {
 	}
 	var checkpointer *platform.Checkpointer
 	if journal != nil && (*snapshotEvery > 0 || *snapshotBytes > 0) {
-		// Attach before serving: the checkpointer seeds its materializer
-		// from the engine's recovered state and must not miss an event.
+		// Attach before serving: the checkpointer takes the snapshot state
+		// the engine just decoded (one decode per start), replays the
+		// journal tail on top of it, and must not miss an event.
 		checkpointer, err = platform.NewCheckpointer(engine, platform.CheckpointOptions{
 			EveryEvents: *snapshotEvery,
 			EveryBytes:  *snapshotBytes,

@@ -549,9 +549,10 @@ func CheckReplBounded(records []ReplRecord) error {
 // CheckRecoveryBounded verifies E12's structural claim on its own
 // output: at the largest history, snapshot-mode restart replays only a
 // tail bounded by the checkpoint interval (2× slack for a cut racing the
-// end of the workload), and the snapshotted store's disk footprint is
-// smaller than the full journal's. These are count/byte comparisons, so
-// the gate holds on any machine speed.
+// end of the workload), the snapshotted store's disk footprint is
+// smaller than the full journal's, and the snapshot record itself is
+// smaller than the journal it replaces. These are count/byte
+// comparisons, so the gate holds on any machine speed.
 func CheckRecoveryBounded(records []RecoveryRecord) error {
 	var replay, snap *RecoveryRecord
 	for i := range records {
@@ -582,6 +583,9 @@ func CheckRecoveryBounded(records []RecoveryRecord) error {
 	}
 	if snap.JournalBytes >= replay.JournalBytes {
 		return fmt.Errorf("snapshotted journal footprint (%d bytes) not smaller than unbounded journal (%d bytes)", snap.JournalBytes, replay.JournalBytes)
+	}
+	if snap.SnapshotBytes >= replay.JournalBytes {
+		return fmt.Errorf("snapshot record (%d bytes) not smaller than the journal it replaces (%d bytes)", snap.SnapshotBytes, replay.JournalBytes)
 	}
 	return nil
 }

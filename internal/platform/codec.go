@@ -314,6 +314,25 @@ func (r *codecReader) fail(what string) {
 	}
 }
 
+// reject poisons the reader over a field the encoder could never have
+// written (an overlong varint, a flag other than 0/1, unsorted map keys).
+// Decoding is strict so that every accepted input re-encodes to the
+// same bytes: equal states stay byte-identical however they arrived.
+func (r *codecReader) reject(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: non-canonical %s", ErrEventCorrupt, what)
+	}
+}
+
+// flag decodes a presence byte, which must be 0 or 1.
+func (r *codecReader) flag(what string) bool {
+	v := r.byteVal(what)
+	if v > 1 {
+		r.reject(what)
+	}
+	return v == 1 && r.err == nil
+}
+
 func (r *codecReader) byteVal(what string) byte {
 	if r.err != nil {
 		return 0
@@ -336,6 +355,10 @@ func (r *codecReader) varint(what string) int64 {
 		r.fail(what)
 		return 0
 	}
+	if n > 1 && r.b[n-1] == 0 { // overlong: a minimal varint never ends in 0x00
+		r.reject(what)
+		return 0
+	}
 	r.b = r.b[n:]
 	return v
 }
@@ -347,6 +370,10 @@ func (r *codecReader) uvarint(what string) uint64 {
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 {
 		r.fail(what)
+		return 0
+	}
+	if n > 1 && r.b[n-1] == 0 { // overlong: a minimal varint never ends in 0x00
+		r.reject(what)
 		return 0
 	}
 	r.b = r.b[n:]
@@ -384,8 +411,7 @@ func (r *codecReader) f64(what string) float64 {
 }
 
 func (r *codecReader) timeVal(what string) time.Time {
-	flag := r.byteVal(what)
-	if r.err != nil || flag == 0 {
+	if !r.flag(what) {
 		return time.Time{}
 	}
 	sec := r.varint(what)
@@ -394,15 +420,27 @@ func (r *codecReader) timeVal(what string) time.Time {
 	if r.err != nil {
 		return time.Time{}
 	}
-	t := time.Unix(sec, int64(nsec))
-	if offset == 0 {
-		return t.UTC()
+	// appendTime writes the zero time as a bare 0 flag and never writes
+	// nanoseconds past one second.
+	if nsec >= uint64(time.Second) {
+		r.reject(what)
+		return time.Time{}
 	}
-	return t.In(time.FixedZone("", int(offset)))
+	t := time.Unix(sec, int64(nsec))
+	if offset != 0 {
+		t = t.In(time.FixedZone("", int(offset)))
+	} else {
+		t = t.UTC()
+	}
+	if t.IsZero() {
+		r.reject(what)
+		return time.Time{}
+	}
+	return t
 }
 
 func (r *codecReader) payloadMap(what string) map[string]string {
-	if r.byteVal(what) == 0 || r.err != nil {
+	if !r.flag(what) {
 		return nil
 	}
 	n := r.uvarint(what)
@@ -416,27 +454,32 @@ func (r *codecReader) payloadMap(what string) map[string]string {
 		return nil
 	}
 	m := make(map[string]string, n)
+	prev := ""
 	for i := uint64(0); i < n; i++ {
 		k := r.str(what)
 		v := r.str(what)
 		if r.err != nil {
 			return nil
 		}
+		// Keys are written in strictly ascending order (which also rules
+		// out duplicates).
+		if i > 0 && k <= prev {
+			r.reject(what)
+			return nil
+		}
 		m[k] = v
+		prev = k
 	}
 	return m
 }
 
-func (r *codecReader) project() *Project {
-	p := &Project{
-		ID:         r.varint("project id"),
-		Name:       r.str("project name"),
-		Presenter:  r.str("project presenter"),
-		Redundancy: int(r.varint("project redundancy")),
-	}
+func (r *codecReader) project(p *Project) {
+	p.ID = r.varint("project id")
+	p.Name = r.str("project name")
+	p.Presenter = r.str("project presenter")
+	p.Redundancy = int(r.varint("project redundancy"))
 	p.Strategy = Strategy(r.str("project strategy"))
 	p.Created = r.timeVal("project created")
-	return p
 }
 
 func (r *codecReader) task(t *Task) {
@@ -452,16 +495,38 @@ func (r *codecReader) task(t *Task) {
 	t.Completed = r.timeVal("task completed")
 }
 
-func (r *codecReader) run() *TaskRun {
-	return &TaskRun{
-		ID:        r.varint("run id"),
-		TaskID:    r.varint("run task id"),
-		ProjectID: r.varint("run project id"),
-		WorkerID:  r.str("run worker"),
-		Answer:    r.str("run answer"),
-		Assigned:  r.timeVal("run assigned"),
-		Finished:  r.timeVal("run finished"),
+func (r *codecReader) run(run *TaskRun) {
+	run.ID = r.varint("run id")
+	run.TaskID = r.varint("run task id")
+	run.ProjectID = r.varint("run project id")
+	run.WorkerID = r.str("run worker")
+	run.Answer = r.str("run answer")
+	run.Assigned = r.timeVal("run assigned")
+	run.Finished = r.timeVal("run finished")
+}
+
+// Smallest encodings of one record (every varint, string length and time
+// flag takes at least a byte; a task's priority takes eight).
+const (
+	minProjectLen = 6
+	minTaskLen    = 17
+	minRunLen     = 7
+	minBanLen     = 2
+)
+
+// count decodes a record count, refusing one the remaining bytes cannot
+// hold (each record takes at least minLen bytes) before anything is
+// allocated for it.
+func (r *codecReader) count(what string, minLen int) int {
+	n := r.uvarint(what)
+	if r.err != nil {
+		return 0
 	}
+	if n > uint64(len(r.b)/minLen) {
+		r.fail(what)
+		return 0
+	}
+	return int(n)
 }
 
 // decodeEventPayload parses a version-1 event payload. Everything it
@@ -470,22 +535,20 @@ func decodeEventPayload(payload []byte) (Event, error) {
 	r := codecReader{b: payload}
 	var ev Event
 	ev.Op = Op(r.str("op"))
-	if r.byteVal("project flag") == 1 {
-		ev.Project = r.project()
+	if r.flag("project flag") {
+		ev.Project = new(Project)
+		r.project(ev.Project)
 	}
 	ev.ProjectID = r.varint("event project id")
-	if n := r.uvarint("task count"); r.err == nil && n > 0 {
-		if n > uint64(len(r.b))+1 {
-			r.fail("task count")
-		} else {
-			ev.Tasks = make([]Task, n)
-			for i := range ev.Tasks {
-				r.task(&ev.Tasks[i])
-			}
+	if n := r.count("task count", minTaskLen); n > 0 {
+		ev.Tasks = make([]Task, n)
+		for i := range ev.Tasks {
+			r.task(&ev.Tasks[i])
 		}
 	}
-	if r.byteVal("run flag") == 1 {
-		ev.Run = r.run()
+	if r.flag("run flag") {
+		ev.Run = new(TaskRun)
+		r.run(ev.Run)
 	}
 	ev.Worker = r.str("worker")
 	if r.err != nil {

@@ -66,6 +66,13 @@ type Engine struct {
 	// the checkpointer feeds off the journal, not the engine).
 	snap *Checkpointer
 
+	// recovered is the snapshot state NewEngineOpts decoded and restored,
+	// held for the first NewCheckpointer (takeRecovered) so a restart
+	// decodes the record once. Restore copied every record out of it, so
+	// nothing in the engine aliases it. Nil after the hand-off, or when
+	// recovery found no snapshot.
+	recovered *snapshotState
+
 	// readOnly marks a replica engine: every externally mutating call
 	// (EnsureProject, AddTasks, RequestTask, Submit, BanWorker) returns
 	// ErrReadOnly, and state changes arrive only through ApplyReplicated —
@@ -344,6 +351,7 @@ func NewEngineOpts(opts EngineOptions) (*Engine, error) {
 				return nil, fmt.Errorf("platform: snapshot restore: %w", err)
 			}
 			start = st.Seq
+			e.recovered = st
 		}
 		if err := opts.Journal.ReplayFrom(start, e.apply); err != nil {
 			return nil, fmt.Errorf("platform: journal replay: %w", err)

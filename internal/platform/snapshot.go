@@ -1,7 +1,7 @@
 package platform
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -34,6 +34,13 @@ import (
 // uses — and the encode, chunk writes, truncation and compaction all run
 // on the checkpointer's goroutine.
 //
+// The record is binary, built from the event codec's primitives (schema
+// on snapshotState.encode), and decoded once per start: NewEngineOpts
+// decodes and restores it, and the first NewCheckpointer takes that
+// decoded state rather than reading the record again. The decoder is
+// strict, so a damaged, truncated or JSON-era record fails typed instead
+// of being misread.
+//
 // Crash safety leans on the storage snapshot record's commit protocol
 // (see internal/storage/snapshot.go): a kill -9 before the manifest
 // commit leaves the previous snapshot authoritative and the journal
@@ -46,13 +53,14 @@ import (
 const SnapshotPrefix = "s/"
 
 // snapshotStateVersion versions the encoded engine-state payload, inside
-// the storage manifest's own format version.
-const snapshotStateVersion = 1
+// the storage manifest's own format version. Version 1 was JSON; version
+// 2 is the binary layout documented on encode.
+const snapshotStateVersion = 2
 
 // banRecord is one (project, worker) ban entry in a snapshot.
 type banRecord struct {
-	ProjectID int64  `json:"project_id"`
-	Worker    string `json:"worker"`
+	ProjectID int64
+	Worker    string
 }
 
 // snapshotState is the engine's materialized state as of journal sequence
@@ -60,30 +68,107 @@ type banRecord struct {
 // sorted by id (and bans by project then worker), so encoding is
 // deterministic — equal states encode to equal bytes.
 type snapshotState struct {
-	Version       int         `json:"version"`
-	Seq           uint64      `json:"seq"`
-	NextProjectID int64       `json:"next_project_id"`
-	NextTaskID    int64       `json:"next_task_id"`
-	NextRunID     int64       `json:"next_run_id"`
-	Projects      []Project   `json:"projects"`
-	Tasks         []Task      `json:"tasks"`
-	Runs          []TaskRun   `json:"runs"`
-	Bans          []banRecord `json:"bans"`
+	Seq           uint64
+	NextProjectID int64
+	NextTaskID    int64
+	NextRunID     int64
+	Projects      []Project
+	Tasks         []Task
+	Runs          []TaskRun
+	Bans          []banRecord
 }
 
-// encode serializes the state deterministically.
+// encode serializes the state with the event codec's primitives (see
+// codec.go for integers, strings, times and payload maps):
+//
+//	version byte (2)
+//	uvarint seq
+//	varint  next project id, next task id, next run id
+//	uvarint project count, then each project as in an event
+//	uvarint task count, then each task as in an event
+//	uvarint run count, then each run as in an event
+//	uvarint ban count, then varint project id + string worker per ban
+//
+// The storage manifest's CRC already covers the record, so the payload
+// carries no frame of its own. The binary encoding cannot fail; the
+// error result is always nil.
 func (st *snapshotState) encode() ([]byte, error) {
-	return json.Marshal(st)
+	dst := []byte{snapshotStateVersion}
+	dst = binary.AppendUvarint(dst, st.Seq)
+	dst = binary.AppendVarint(dst, st.NextProjectID)
+	dst = binary.AppendVarint(dst, st.NextTaskID)
+	dst = binary.AppendVarint(dst, st.NextRunID)
+	dst = binary.AppendUvarint(dst, uint64(len(st.Projects)))
+	for i := range st.Projects {
+		dst = appendProject(dst, &st.Projects[i])
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(st.Tasks)))
+	for i := range st.Tasks {
+		dst = appendTask(dst, &st.Tasks[i])
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(st.Runs)))
+	for i := range st.Runs {
+		dst = appendRun(dst, &st.Runs[i])
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(st.Bans)))
+	for _, b := range st.Bans {
+		dst = binary.AppendVarint(dst, b.ProjectID)
+		dst = appendString(dst, b.Worker)
+	}
+	return dst, nil
 }
 
-// decodeSnapshotState parses an encoded state and checks its version.
+// decodeSnapshotState parses an encoded state. It fails rather than
+// misread: a JSON-era or unknown version wraps ErrFrameVersion, and
+// truncated, trailing or non-canonical bytes wrap ErrEventCorrupt, so
+// anything it accepts re-encodes to exactly data.
 func decodeSnapshotState(data []byte) (*snapshotState, error) {
-	st := &snapshotState{}
-	if err := json.Unmarshal(data, st); err != nil {
-		return nil, fmt.Errorf("platform: snapshot decode: %w", err)
+	switch {
+	case len(data) == 0:
+		return nil, fmt.Errorf("platform: snapshot decode: %w: empty state", ErrEventCorrupt)
+	case data[0] == '{':
+		return nil, fmt.Errorf("platform: snapshot decode: %w: JSON state record (version 1); this build reads binary version %d",
+			ErrFrameVersion, snapshotStateVersion)
+	case data[0] != snapshotStateVersion:
+		return nil, fmt.Errorf("platform: snapshot decode: %w: state version %d (this build reads %d)",
+			ErrFrameVersion, data[0], snapshotStateVersion)
 	}
-	if st.Version != snapshotStateVersion {
-		return nil, fmt.Errorf("platform: snapshot state version %d (want %d)", st.Version, snapshotStateVersion)
+	r := codecReader{b: data[1:]}
+	st := &snapshotState{
+		Seq:           r.uvarint("snapshot seq"),
+		NextProjectID: r.varint("next project id"),
+		NextTaskID:    r.varint("next task id"),
+		NextRunID:     r.varint("next run id"),
+	}
+	if n := r.count("project count", minProjectLen); n > 0 {
+		st.Projects = make([]Project, n)
+		for i := range st.Projects {
+			r.project(&st.Projects[i])
+		}
+	}
+	if n := r.count("task count", minTaskLen); n > 0 {
+		st.Tasks = make([]Task, n)
+		for i := range st.Tasks {
+			r.task(&st.Tasks[i])
+		}
+	}
+	if n := r.count("run count", minRunLen); n > 0 {
+		st.Runs = make([]TaskRun, n)
+		for i := range st.Runs {
+			r.run(&st.Runs[i])
+		}
+	}
+	if n := r.count("ban count", minBanLen); n > 0 {
+		st.Bans = make([]banRecord, n)
+		for i := range st.Bans {
+			st.Bans[i] = banRecord{ProjectID: r.varint("ban project id"), Worker: r.str("ban worker")}
+		}
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("platform: snapshot decode: %w", r.err)
+	}
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("platform: snapshot decode: %w: %d trailing bytes", ErrEventCorrupt, len(r.b))
 	}
 	return st, nil
 }
@@ -131,27 +216,29 @@ func newMaterializer() *materializer {
 }
 
 // materializerFromState seeds a materializer with an already-built state
-// (the latest snapshot's, at checkpointer attach; an engine export in
-// tests). Records are deep-copied — the source keeps mutating its own.
+// (the latest snapshot's, at checkpointer attach). The materializer takes
+// ownership: its records alias st's slices, so the caller must not use st
+// afterwards. Every state handed here is exclusively owned — freshly
+// decoded, or handed off by an engine that restored copies of it.
 func materializerFromState(st *snapshotState) *materializer {
 	m := newMaterializer()
 	for i := range st.Projects {
-		p := st.Projects[i]
-		m.projects[p.ID] = &p
+		p := &st.Projects[i]
+		m.projects[p.ID] = p
 		if p.ID > m.maxProject {
 			m.maxProject = p.ID
 		}
 	}
+	m.taskIDs = make([]int64, 0, len(st.Tasks))
 	for i := range st.Tasks {
-		t := st.Tasks[i]
-		t.Payload = copyPayload(t.Payload)
-		m.tasks[t.ID] = &t
+		t := &st.Tasks[i]
+		m.tasks[t.ID] = t
 		m.taskIDs = append(m.taskIDs, t.ID)
 		if t.ID > m.maxTask {
 			m.maxTask = t.ID
 		}
 	}
-	m.runs = append(m.runs, st.Runs...)
+	m.runs = st.Runs
 	for _, r := range st.Runs {
 		if r.ID > m.maxRun {
 			m.maxRun = r.ID
@@ -227,7 +314,6 @@ func (m *materializer) apply(ev Event) error {
 // far, cut at journal sequence seq.
 func (m *materializer) state(seq uint64) *snapshotState {
 	st := &snapshotState{
-		Version:       snapshotStateVersion,
 		Seq:           seq,
 		NextProjectID: m.maxProject,
 		NextTaskID:    m.maxTask,
@@ -261,7 +347,8 @@ func (m *materializer) state(seq uint64) *snapshotState {
 // fresh materializer. The caller must know the engine is consistent with
 // whatever journal sequence it associates with the export (true at
 // startup, between recovery and serving traffic; the live checkpointer
-// seeds from disk instead, precisely to avoid that requirement).
+// seeds from the snapshot record plus the journal tail instead, precisely
+// to avoid that requirement).
 func (e *Engine) exportMaterializer() *materializer {
 	// Exclusive, not shared: task fields and stripe state mutate under
 	// stripe locks with e.mu held shared, so only an exclusive hold makes
@@ -395,6 +482,16 @@ func (e *Engine) restoreSnapshot(st *snapshotState) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.restoreSnapshotLocked(st)
+}
+
+// takeRecovered hands over the snapshot state NewEngineOpts restored, if
+// any, and drops the engine's reference to it.
+func (e *Engine) takeRecovered() *snapshotState {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	st := e.recovered
+	e.recovered = nil
+	return st
 }
 
 // restoreSnapshotLocked is restoreSnapshot with e.mu already held (the
@@ -542,13 +639,15 @@ type Checkpointer struct {
 }
 
 // NewCheckpointer attaches a snapshot checkpointer to a journaled engine.
-// Seeding replays the latest snapshot + journal tail from the store (the
-// same bounded recovery path the engine uses), so attaching is safe even
-// with traffic already flowing. At startup this repeats work NewEngineOpts
-// just did, deliberately: both passes are bounded by the checkpoint
-// interval (that is the subsystem's invariant), the repeat needs no
-// engine-quiescence precondition, and it re-validates the snapshot
-// record end to end before the checkpointer builds on it.
+// Seeding loads the latest snapshot + journal tail (the same bounded
+// recovery path the engine uses), so attaching is safe even with traffic
+// already flowing. The snapshot is decoded once per start: when the
+// engine recovered from the record that is still current, the
+// checkpointer takes the state NewEngineOpts already decoded instead of
+// reading and decoding the record again; otherwise (no snapshot at
+// startup, or one written since, as promotion does) it reads the record
+// from the store. Only the journal tail is scanned a second time, and
+// that scan is bounded by the checkpoint interval.
 func NewCheckpointer(e *Engine, opts CheckpointOptions) (*Checkpointer, error) {
 	j := e.journal
 	if j == nil {
@@ -562,9 +661,11 @@ func NewCheckpointer(e *Engine, opts CheckpointOptions) (*Checkpointer, error) {
 		reqs:   make(chan chan error),
 		stop:   make(chan struct{}),
 	}
-	if info, ok, err := storage.ReadSnapshotInfo(j.db, SnapshotPrefix); err != nil {
+	info, haveSnap, err := storage.ReadSnapshotInfo(j.db, SnapshotPrefix)
+	if err != nil {
 		return nil, err
-	} else if ok {
+	}
+	if haveSnap {
 		c.snapID = info.ID
 		c.lastCutSeq = info.Seq
 		c.smu.Lock()
@@ -572,19 +673,27 @@ func NewCheckpointer(e *Engine, opts CheckpointOptions) (*Checkpointer, error) {
 		c.stats.LastBytes = info.Bytes
 		c.smu.Unlock()
 	}
-	// Seed the materializer from disk — the same snapshot + tail-replay
-	// recovery the engine itself performs — with the observer registered
-	// before the journal tail scan. This is correct under any
+	// Seed the materializer from the snapshot state, with the observer
+	// registered before the journal tail scan. This is correct under any
 	// interleaving with live traffic: the scan holds the store's read
 	// lock, so an event flushed after the scan closes is not in the scan
 	// but is buffered with its sequence number (events flushed before
 	// the scan appear in both, and drain's o.seq < c.seq guard drops the
 	// buffered duplicate). The materializer therefore equals replay of
 	// [0, c.seq) exactly, without requiring the engine to be quiescent.
+	// A handed-off state needs no quiescence either: it is the state at
+	// its own cut point, whatever the engine has applied since.
 	c.mat = newMaterializer()
-	if st, ok, err := loadSnapshotState(j.db); err != nil {
-		return nil, err
-	} else if ok {
+	st := e.takeRecovered()
+	if st != nil && (!haveSnap || st.Seq != info.Seq) {
+		st = nil // superseded since startup: the store holds the current record
+	}
+	if st == nil && haveSnap {
+		if st, _, err = loadSnapshotState(j.db); err != nil {
+			return nil, err
+		}
+	}
+	if st != nil {
 		c.mat = materializerFromState(st)
 		c.seq = st.Seq
 	}

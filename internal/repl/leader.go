@@ -288,10 +288,10 @@ func (l *Leader) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshot is GET /api/repl/snapshot: the latest snapshot record's
-// payload, verbatim (the deterministic engine-state JSON the checkpointer
-// cut), with its cut sequence in HeaderSnapshotSeq. 404 with code
-// "no_snapshot" when the leader has never checkpointed — the follower
-// then bootstraps from sequence zero.
+// payload, verbatim (the deterministic binary engine state the
+// checkpointer cut), with its cut sequence in HeaderSnapshotSeq. 404
+// with code "no_snapshot" when the leader has never checkpointed — the
+// follower then bootstraps from sequence zero.
 func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	info, data, ok, err := storage.ReadSnapshot(l.db, platform.SnapshotPrefix)
 	if err != nil {
@@ -307,7 +307,7 @@ func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", platform.FrameContentType)
 		data = platform.AppendSnapshotFrame(nil, data)
 	} else {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Type", "application/octet-stream")
 	}
 	w.Header().Set(HeaderSnapshotSeq, strconv.FormatUint(info.Seq, 10))
 	w.Header().Set(HeaderFrontier, strconv.FormatUint(frontier, 10))

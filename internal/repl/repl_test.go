@@ -623,7 +623,7 @@ func TestStreamWireNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read snapshot: %v", err)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
 		t.Fatalf("legacy snapshot Content-Type = %q", ct)
 	}
 	resp = fetch("/api/repl/snapshot", true)

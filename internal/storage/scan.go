@@ -38,7 +38,9 @@ func (db *DB) Scan(prefix string, fn func(key string, val []byte) bool) error {
 // before returning and must never retain val. Bulk readers that decode
 // every value on the spot (the platform journal's replay) use it to skip
 // the two per-key allocations Scan pays — the frame read and the value
-// copy — which dominate replaying a large journal.
+// copy — which dominate replaying a large journal. It also reads and
+// decodes each batch frame once, where Scan re-reads the whole frame for
+// every key it holds.
 func (db *DB) ScanShared(prefix string, fn func(key string, val []byte) bool) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -46,9 +48,9 @@ func (db *DB) ScanShared(prefix string, fn func(key string, val []byte) bool) er
 		return ErrClosed
 	}
 	keys := db.sortedKeysLocked(prefix)
-	var scratch []byte
+	var r sharedReader
 	for _, k := range keys {
-		val, ok, err := db.getLockedShared([]byte(k), &scratch)
+		val, ok, err := db.getLockedShared(k, &r)
 		if err != nil {
 			return err
 		}

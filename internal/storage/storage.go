@@ -679,26 +679,43 @@ func (db *DB) getLocked(key []byte) ([]byte, bool, error) {
 	}
 }
 
-// getLockedShared is getLocked with the frame read into *scratch (grown
-// as needed, reused across calls) and the returned value aliasing it:
-// the caller must consume val before its next call and never retain it.
-// This is the allocation-free half of ScanShared.
-func (db *DB) getLockedShared(key []byte, scratch *[]byte) ([]byte, bool, error) {
+// sharedReader is ScanShared's read state: one frame buffer reused
+// across keys, and the puts of the last batch frame it decoded (values
+// aliasing buf). A group-commit batch holds many consecutive keys, so a
+// scan reads and decodes each batch frame once, not once per key.
+type sharedReader struct {
+	buf       []byte
+	batchSeg  uint32
+	batchOff  int64
+	batch     map[string][]byte // last put per key; valid while haveBatch
+	haveBatch bool
+}
+
+// getLockedShared is getLocked with the frame read into r's buffer and
+// the returned value aliasing it: the caller must consume val before its
+// next call and never retain it. This is the allocation-free half of
+// ScanShared.
+func (db *DB) getLockedShared(key string, r *sharedReader) ([]byte, bool, error) {
 	if db.closed {
 		return nil, false, ErrClosed
 	}
-	l, ok := db.keydir[string(key)]
+	l, ok := db.keydir[key]
 	if !ok {
 		return nil, false, nil
+	}
+	if r.haveBatch && l.segID == r.batchSeg && l.off == r.batchOff {
+		return r.batchValue(key)
 	}
 	f, err := db.fileFor(l.segID)
 	if err != nil {
 		return nil, false, err
 	}
-	if cap(*scratch) < int(l.size) {
-		*scratch = make([]byte, l.size)
+	// The read below overwrites the buffer the cached batch aliases.
+	r.haveBatch = false
+	if cap(r.buf) < int(l.size) {
+		r.buf = make([]byte, l.size)
 	}
-	buf := (*scratch)[:l.size]
+	buf := r.buf[:l.size]
 	if _, err := f.ReadAt(buf, l.off); err != nil {
 		return nil, false, fmt.Errorf("storage: read frame: %w", err)
 	}
@@ -713,25 +730,32 @@ func (db *DB) getLockedShared(key []byte, scratch *[]byte) ([]byte, bool, error)
 	case kindPut:
 		return rec.val, true, nil
 	case kindBatch:
-		var (
-			found []byte
-			have  bool
-		)
+		if r.batch == nil {
+			r.batch = make(map[string][]byte)
+		}
+		clear(r.batch)
 		if err := decodeBatch(rec.val, func(op byte, k, v []byte) error {
-			if op == kindPut && string(k) == string(key) {
-				found, have = v, true
+			if op == kindPut {
+				r.batch[string(k)] = v
 			}
 			return nil
 		}); err != nil {
 			return nil, false, err
 		}
-		if !have {
-			return nil, false, fmt.Errorf("%w: key indexed into batch frame that lacks it", ErrCorrupt)
-		}
-		return found, true, nil
+		r.batchSeg, r.batchOff, r.haveBatch = l.segID, l.off, true
+		return r.batchValue(key)
 	default:
 		return nil, false, fmt.Errorf("%w: keydir points at frame kind %d", ErrCorrupt, rec.kind)
 	}
+}
+
+// batchValue looks key up in the cached batch frame.
+func (r *sharedReader) batchValue(key string) ([]byte, bool, error) {
+	v, ok := r.batch[key]
+	if !ok {
+		return nil, false, fmt.Errorf("%w: key indexed into batch frame that lacks it", ErrCorrupt)
+	}
+	return v, true, nil
 }
 
 // Has reports whether key is present.
